@@ -54,8 +54,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzItemSetOps -fuzztime=$(FUZZTIME) ./internal/itemset/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentHeader -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/segment/
-	$(GO) test -run='^$$' -fuzz=FuzzShard -fuzztime=$(FUZZTIME) ./internal/ids/
-	$(GO) test -run='^$$' -fuzz=FuzzShardPartition -fuzztime=$(FUZZTIME) ./internal/itemset/
 	$(GO) test -run='^$$' -fuzz=FuzzPlanEquivalence -fuzztime=$(FUZZTIME) ./internal/plan/
 
 # Focused race pass over the parallel pipeline: the internal/par pool
@@ -113,23 +111,22 @@ segments-check:
 	rm -rf /tmp/magnet-segcheck /tmp/magnet-segcheck-mem.txt /tmp/magnet-segcheck-seg.txt
 
 # Serving-load gate: a short deterministic magnet-load smoke run — many
-# concurrent simuser sessions against one shared sharded instance — built
-# and run under the race detector, with a vet-budget-style wall-clock
-# guard. Catches session-concurrency races and scatter-gather regressions
-# that unit tests are too small to hit.
+# concurrent simuser sessions against one shared instance — built and run
+# under the race detector, with a vet-budget-style wall-clock guard.
+# Catches session-concurrency races that unit tests are too small to hit.
 LOADBUDGET ?= 120
 load-check:
 	@$(GO) build -race -o /tmp/magnet-load-check ./cmd/magnet-load
 	@start=$$(date +%s); \
-	/tmp/magnet-load-check -recipes 400 -sessions 40 -concurrency 8 -shards 4 -out "" || exit 1; \
+	/tmp/magnet-load-check -recipes 400 -sessions 40 -concurrency 8 -out "" || exit 1; \
 	end=$$(date +%s); elapsed=$$((end-start)); \
 	echo "magnet-load wall clock: $${elapsed}s (budget $(LOADBUDGET)s)"; \
 	if [ $$elapsed -gt $(LOADBUDGET) ]; then \
 		echo "magnet-load exceeded its $(LOADBUDGET)s budget" >&2; exit 1; \
 	fi
 
-# Planner gate: the planned-vs-naive byte-identity suite (every backing and
-# shard count, plus the fuzz corpus replayed as unit cases and the shared
+# Planner gate: the planned-vs-naive byte-identity suite (both backings,
+# plus the fuzz corpus replayed as unit cases and the shared
 # delta-cache race test), then a magnet-load smoke run that fails unless
 # the navigation-delta cache actually absorbs the session's refine steps —
 # a planner that silently stops caching would still be byte-identical, so
@@ -139,6 +136,5 @@ plan-check:
 	$(GO) test -race -run 'Plan|Within|KeysCache' ./internal/query/ ./internal/core/ .
 	@$(GO) build -o /tmp/magnet-plan-check ./cmd/magnet-load
 	@/tmp/magnet-plan-check -recipes 400 -sessions 40 -concurrency 8 -out "" -min-plan-hit-rate 0.5
-	@/tmp/magnet-plan-check -recipes 400 -sessions 40 -concurrency 8 -shards 4 -out "" -min-plan-hit-rate 0.5
 
 check: build vet vet-budget test race race-par obs-check fuzz segments-check load-check plan-check bench-json

@@ -12,9 +12,8 @@
 // Caveat for reading committed snapshots: on a single-core container
 // (GOMAXPROCS=1) the workers axis measures coordination overhead, not
 // speedup — workers=4 cannot beat workers=1 without a second core. Every
-// sub-benchmark therefore reports gomaxprocs (and the sharded ones their
-// shard count) as metrics, so BENCH_<date>.json entries are
-// self-describing about the machine shape they ran on.
+// sub-benchmark therefore reports gomaxprocs as a metric, so
+// BENCH_<date>.json entries are self-describing about the machine shape they ran on.
 package magnet_test
 
 import (
@@ -30,11 +29,10 @@ import (
 	"magnet/internal/query"
 )
 
-// reportEnv records the machine shape and serving layout on the
-// sub-benchmark, so snapshot entries carry their own context.
-func reportEnv(b *testing.B, shards int) {
+// reportEnv records the machine shape on the sub-benchmark, so snapshot
+// entries carry their own context.
+func reportEnv(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	b.ReportMetric(float64(shards), "shards")
 }
 
 // workerCounts returns the benchmark's worker-count axis: 1, 4 and
@@ -84,7 +82,7 @@ func parallelInboxMagnet(w int) *core.Magnet {
 	return m
 }
 
-// BenchmarkParallelFacetOverview: E2's facet overview (sharded
+// BenchmarkParallelFacetOverview: E2's facet overview (parallel
 // per-attribute aggregation) per worker count.
 func BenchmarkParallelFacetOverview(b *testing.B) {
 	for _, w := range workerCounts() {
@@ -98,7 +96,7 @@ func BenchmarkParallelFacetOverview(b *testing.B) {
 				nf = len(s.Overview(6))
 			}
 			b.ReportMetric(float64(nf), "facets")
-			reportEnv(b, 0)
+			reportEnv(b)
 		})
 	}
 }
@@ -114,7 +112,7 @@ func BenchmarkParallelSimilarToItem(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.Model().SimilarToItem(item, 20)
 			}
-			reportEnv(b, 0)
+			reportEnv(b)
 		})
 	}
 }
@@ -131,7 +129,7 @@ func BenchmarkParallelIndexAll(b *testing.B) {
 				m.Model().IndexAll(items)
 			}
 			b.ReportMetric(float64(len(items)), "items")
-			reportEnv(b, 0)
+			reportEnv(b)
 		})
 	}
 }
@@ -150,67 +148,7 @@ func BenchmarkParallelInboxPane(b *testing.B) {
 				}})})
 				s.Pane()
 			}
-			reportEnv(b, 0)
-		})
-	}
-}
-
-// shardedMagnets holds one recipes Magnet per scatter-gather shard count
-// (pool width fixed at 4, the EXPERIMENTS.md reference point).
-var shardedMagnets map[int]*core.Magnet
-
-func shardedRecipeMagnet(shards int) *core.Magnet {
-	parMu.Lock()
-	defer parMu.Unlock()
-	if shardedMagnets == nil {
-		shardedMagnets = make(map[int]*core.Magnet)
-	}
-	m, ok := shardedMagnets[shards]
-	if !ok {
-		g := recipes.Build(recipes.Config{Recipes: benchCorpusSize, Seed: 1})
-		m = core.Open(g, core.Options{Parallelism: 4, Shards: shards})
-		shardedMagnets[shards] = m
-	}
-	return m
-}
-
-// BenchmarkShardedQueryStep: one full navigation query step (evaluation +
-// view assembly) across the scatter-gather shard axis. shards=0 is the
-// unsharded reference; the sharded runs must return byte-identical views
-// (asserted by shard_equiv_test.go), so this measures pure scatter-gather
-// overhead/benefit.
-func BenchmarkShardedQueryStep(b *testing.B) {
-	for _, n := range []int{0, 2, 4, 7} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			m := shardedRecipeMagnet(n)
-			q := query.NewQuery(
-				query.TypeIs(recipes.ClassRecipe),
-				query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")},
-			)
-			s := m.NewSession()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Apply(blackboard.ReplaceQuery{Query: q})
-			}
-			reportEnv(b, n)
-		})
-	}
-}
-
-// BenchmarkShardedOverview: the facet overview across the shard axis —
-// per-shard summarize plus the count merge, against the single-pass
-// reference at shards=0.
-func BenchmarkShardedOverview(b *testing.B) {
-	for _, n := range []int{0, 2, 4, 7} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			m := shardedRecipeMagnet(n)
-			s := m.NewSession()
-			s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Overview(6)
-			}
-			reportEnv(b, n)
+			reportEnv(b)
 		})
 	}
 }

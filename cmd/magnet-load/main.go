@@ -1,9 +1,9 @@
 // Command magnet-load replays concurrent simulated-user navigation sessions
 // (internal/simuser) against one shared core instance and reports step
 // latency and throughput. It is the serving-side load harness: the proof
-// that many sessions can step concurrently against one Magnet — including
-// a sharded scatter-gather one — and the source of the load-test entries in
-// the committed BENCH_<date>.json snapshots.
+// that many sessions can step concurrently against one Magnet — and the
+// source of the load-test entries in the committed BENCH_<date>.json
+// snapshots.
 //
 // Each session is a full study task driven through core.Session (queries,
 // refinements, pane assembly, facet overview), so the latencies are real
@@ -15,8 +15,8 @@
 // Usage:
 //
 //	magnet-load                                      # 200 sessions, in-memory corpus
-//	magnet-load -shards 4 -parallelism 4             # sharded scatter-gather serving
-//	magnet-load -segments segs/recipes               # segment-backed (auto-detects shard layouts)
+//	magnet-load -parallelism 4                       # 4-wide worker pool
+//	magnet-load -segments segs/recipes               # segment-backed
 //	magnet-load -sessions 40 -concurrency 8 -out ""  # short smoke run, no snapshot write
 //
 // With -out (default BENCH_<date>.json) the results merge into that day's
@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -46,8 +45,7 @@ func main() {
 	dataset := flag.String("dataset", "recipes", "built-in dataset (must be recipes-vocabulary for the study tasks)")
 	nRecipes := flag.Int("recipes", 2000, "in-memory recipe corpus size")
 	seed := flag.Int64("seed", 1, "corpus and session seed")
-	segments := flag.String("segments", "", "open a segment directory instead of building in memory (shard layouts auto-detected)")
-	shards := flag.Int("shards", 0, "scatter-gather shard count for in-memory serving (0 = unsharded)")
+	segments := flag.String("segments", "", "open a segment directory instead of building in memory")
 	parallelism := flag.Int("parallelism", 0, "core worker-pool width (0 = GOMAXPROCS)")
 	sessions := flag.Int("sessions", 200, "number of simulated-user sessions to replay")
 	concurrency := flag.Int("concurrency", 0, "sessions in flight at once (0 = all of them)")
@@ -61,7 +59,7 @@ func main() {
 		}
 	})
 
-	if err := run(*dataset, *nRecipes, *seed, *segments, *shards, *parallelism,
+	if err := run(*dataset, *nRecipes, *seed, *segments, *parallelism,
 		*sessions, *concurrency, *out, outSet, *minPlanHitRate); err != nil {
 		fmt.Fprintf(os.Stderr, "magnet-load: %v\n", err)
 		os.Exit(1)
@@ -69,18 +67,9 @@ func main() {
 }
 
 // open builds or opens the serving instance per the flags.
-func open(dataset string, nRecipes int, seed int64, segments string, shards, parallelism int) (*core.Magnet, string, error) {
-	opts := core.Options{Parallelism: parallelism, Shards: shards}
+func open(dataset string, nRecipes int, seed int64, segments string, parallelism int) (*core.Magnet, string, error) {
+	opts := core.Options{Parallelism: parallelism}
 	if segments != "" {
-		// A shard layout has shard-000/ subdirectories; a plain segment set
-		// has its manifest at the top level.
-		if _, err := os.Stat(filepath.Join(segments, "shard-000")); err == nil {
-			m, err := core.OpenSegmentShards(segments, opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return m, fmt.Sprintf("segment shard layout %s", segments), nil
-		}
 		m, err := core.OpenSegments(segments, opts)
 		if err != nil {
 			return nil, "", err
@@ -134,7 +123,7 @@ func (pc planCounters) hitRate() float64 {
 	return float64(pc.hit+pc.delta) / float64(lookups)
 }
 
-func run(dataset string, nRecipes int, seed int64, segments string, shards, parallelism, sessions, concurrency int, out string, outSet bool, minPlanHitRate float64) error {
+func run(dataset string, nRecipes int, seed int64, segments string, parallelism, sessions, concurrency int, out string, outSet bool, minPlanHitRate float64) error {
 	if sessions < 1 {
 		return fmt.Errorf("-sessions must be >= 1")
 	}
@@ -142,7 +131,7 @@ func run(dataset string, nRecipes int, seed int64, segments string, shards, para
 		concurrency = sessions
 	}
 
-	m, backing, err := open(dataset, nRecipes, seed, segments, shards, parallelism)
+	m, backing, err := open(dataset, nRecipes, seed, segments, parallelism)
 	if err != nil {
 		return err
 	}
@@ -229,8 +218,7 @@ func run(dataset string, nRecipes int, seed int64, segments string, shards, para
 	if err != nil {
 		return err
 	}
-	name := "BenchmarkLoadSessions/shards=" + strconv.Itoa(effectiveShards(m, shards)) +
-		"/concurrency=" + strconv.Itoa(concurrency)
+	name := "BenchmarkLoadSessions/concurrency=" + strconv.Itoa(concurrency)
 	entry := benchfmt.Benchmark{
 		Name:       name,
 		Pkg:        "magnet/cmd/magnet-load",
@@ -250,7 +238,6 @@ func run(dataset string, nRecipes int, seed int64, segments string, shards, para
 			"plan-hit-rate":     planRate,
 			"plan-cache-hits":   float64(plan.hit),
 			"plan-cache-deltas": float64(plan.delta),
-			"shards":            float64(effectiveShards(m, shards)),
 			"gomaxprocs":        float64(runtime.GOMAXPROCS(0)),
 			"wall-s":            wall.Seconds(),
 		},
@@ -270,16 +257,4 @@ func orDefault(out string) string {
 		return out
 	}
 	return benchfmt.New().FileName()
-}
-
-// effectiveShards reports the shard count the instance actually serves with
-// (a shard-layout open forces it from the manifest, overriding the flag).
-func effectiveShards(m *core.Magnet, flagShards int) int {
-	if n := m.Shards(); n > 0 {
-		return n
-	}
-	if flagShards > 0 {
-		return flagShards
-	}
-	return 1
 }

@@ -12,7 +12,6 @@ import (
 	"magnet/internal/blackboard"
 	"magnet/internal/history"
 	"magnet/internal/index"
-	"magnet/internal/par"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -32,10 +31,6 @@ type Env struct {
 	// LookupView resolves a history key back to a view so history
 	// suggestions can carry executable actions; nil disables them too.
 	LookupView func(key string) (blackboard.View, bool)
-	// Pool, when set, lets analysts scatter per-shard scoring work over
-	// the serving pool (views carrying a shard partition); nil scores
-	// serially. Results are identical either way.
-	Pool *par.Pool
 }
 
 // Label renders a resource using the graph's labels.

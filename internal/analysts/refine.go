@@ -1,13 +1,9 @@
 package analysts
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"magnet/internal/blackboard"
-	"magnet/internal/itemset"
-	"magnet/internal/par"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 	"magnet/internal/vsm"
@@ -45,15 +41,8 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 		return
 	}
 	// Counts for detail display: how many collection members match each
-	// direct attribute/value pair. A view carrying a shard partition is
-	// counted shard-by-shard on the pool; counts are sums over disjoint
-	// subsets, so the totals are identical to the serial walk.
-	var counts map[string]int
-	if v.Shards != nil {
-		counts = r.memberCountsSharded(v.Shards)
-	} else {
-		counts = r.memberCounts(v.Collection)
-	}
+	// direct attribute/value pair.
+	counts := r.memberCounts(v.Collection)
 	members := make(map[rdf.IRI]bool, len(v.Collection))
 	for _, it := range v.Collection {
 		members[it] = true
@@ -134,60 +123,16 @@ func (r *Refinement) suggestWord(b *blackboard.Board, c vsm.Coord, weight float6
 func countKey(p rdf.IRI, v rdf.Term) string { return string(p) + "\x00" + v.Key() }
 
 func (r *Refinement) memberCounts(items []rdf.IRI) map[string]int {
+	g := r.env.Graph
 	counts := make(map[string]int)
 	for _, it := range items {
-		r.countMember(counts, it)
-	}
-	return counts
-}
-
-// countMember tallies one member's attribute/value pairs into counts.
-func (r *Refinement) countMember(counts map[string]int, it rdf.IRI) {
-	g := r.env.Graph
-	for _, p := range g.PredicatesOf(it) {
-		if r.env.Schema.Hidden(p) {
-			continue
-		}
-		for _, v := range g.Objects(it, p) {
-			counts[countKey(p, v)]++
-		}
-	}
-}
-
-// memberCountsSharded is the scatter-gather memberCounts: one partial tally
-// per shard on the pool, summed shard-by-shard. Shard subsets are disjoint,
-// so the merged totals equal the serial walk's exactly; the map is consumed
-// by key lookup only, so merge order never shows.
-func (r *Refinement) memberCountsSharded(shards []itemset.Set) map[string]int {
-	g := r.env.Graph
-	partials, err := par.Map(context.Background(), r.env.Pool, shards, func(_ int, s itemset.Set) map[string]int {
-		part := make(map[string]int)
-		s.ForEach(func(id uint32) bool {
-			r.countMember(part, g.SubjectByID(id))
-			return true
-		})
-		return part
-	})
-	if err != nil {
-		var pe *par.PanicError
-		if errors.As(err, &pe) {
-			panic(pe)
-		}
-		// Context error cannot happen with a background context; recount
-		// serially for totality.
-		counts := make(map[string]int)
-		for _, s := range shards {
-			s.ForEach(func(id uint32) bool {
-				r.countMember(counts, g.SubjectByID(id))
-				return true
-			})
-		}
-		return counts
-	}
-	counts := make(map[string]int)
-	for _, part := range partials {
-		for k, n := range part {
-			counts[k] += n
+		for _, p := range g.PredicatesOf(it) {
+			if r.env.Schema.Hidden(p) {
+				continue
+			}
+			for _, v := range g.Objects(it, p) {
+				counts[countKey(p, v)]++
+			}
 		}
 	}
 	return counts

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"magnet/internal/facets"
-	"magnet/internal/itemset"
 	"magnet/internal/obs"
 	"magnet/internal/par"
 	"magnet/internal/query"
@@ -59,13 +58,6 @@ type View struct {
 	Fixed bool
 	// Name titles fixed collections and identifies them in history.
 	Name string
-	// Shards, when non-nil, is the Collection's disjoint partition on the
-	// dense-ID plane (the scatter layout the sharded query evaluator
-	// produced). Downstream aggregations — facet overview, advisor member
-	// counting — reuse it as their per-shard work split; nil means the
-	// instance serves unsharded. Shards never affects Key: it is a
-	// serving-layout detail, not view identity.
-	Shards []itemset.Set
 }
 
 // ItemView returns a view of a single item.

@@ -69,25 +69,18 @@ type Options struct {
 	// results would have been returned otherwise").
 	SoftEmptyResults bool
 	// Parallelism sizes the instance's shared worker pool: analyst waves,
-	// facet sharding, similarity scans and batch indexing all fan out on
-	// this one pool, so concurrent sessions (magnet-server) compose with
-	// per-request parallelism instead of oversubscribing. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs the whole pipeline serially.
+	// per-property facet summaries, similarity scans and batch indexing
+	// all fan out on this one pool, so concurrent sessions (magnet-server)
+	// compose with per-request parallelism instead of oversubscribing.
+	// 0 means runtime.GOMAXPROCS(0); 1 runs the whole pipeline serially.
 	Parallelism int
-	// Shards enables scatter-gather serving: the dense-ID space is
-	// partitioned into this many shards by ids.Shard, and every session
-	// step's query evaluation, facet summarization and advisor member
-	// counting scatter one task per shard on the pool before an exact
-	// merge. Output is byte-identical to unsharded serving at any shard
-	// count (shard_equiv_test.go); 0 or 1 serves unsharded.
-	Shards int
-	// PlanCache sizes the per-shard navigation-delta cache behind the
-	// cost-based query planner (internal/plan): cached result sets keyed
-	// by the canonical query key, invalidated whenever the graph or the
-	// item universe changes. 0 means plan.DefaultCacheSize entries per
-	// shard; a negative value disables planning and caching entirely,
-	// restoring the naive evaluation path (output is byte-identical
-	// either way — the planner only changes evaluation order and reuse).
+	// PlanCache sizes the navigation-delta cache behind the cost-based
+	// query planner (internal/plan): cached result sets keyed by the
+	// canonical query key, invalidated whenever the graph or the item
+	// universe changes. 0 means plan.DefaultCacheSize entries; a negative
+	// value disables planning and caching entirely, restoring the naive
+	// evaluation path (output is byte-identical either way — the planner
+	// only changes evaluation order and reuse).
 	PlanCache int
 }
 
@@ -106,10 +99,6 @@ type Magnet struct {
 	// pool is the instance's one concurrency budget (Options.Parallelism),
 	// shared by every session.
 	pool *par.Pool
-	// sharding is the scatter-gather layout (Options.Shards > 1): the item
-	// universe partitioned per shard. Rebuilt whenever itemIDs changes and
-	// read by every session step; nil serves unsharded.
-	sharding *query.Sharding
 	// planner is the cost-based conjunction planner and navigation-delta
 	// cache every session step's query evaluation routes through; nil
 	// when Options.PlanCache is negative (the naive path).
@@ -123,10 +112,6 @@ type Magnet struct {
 	set       *segment.Set
 	readOnly  bool
 	itemsOnce sync.Once
-	// shardSets holds the remaining per-shard segment sets when the
-	// instance was opened with OpenSegmentShards (set holds shard 0, whose
-	// columns back the indexes); Close unmaps them all.
-	shardSets []*segment.Set
 }
 
 // Open builds a Magnet over the graph: it chooses the item universe,
@@ -157,49 +142,30 @@ func OpenContext(ctx context.Context, g *rdf.Graph, opts Options) *Magnet {
 }
 
 // buildEngine (re)creates the query engine over the current indexes, plus
-// the planner and its delta caches (fresh caches: a rebuilt engine means
+// the planner and its delta cache (a fresh cache: a rebuilt engine means
 // rebuilt indexes, so nothing cached remains valid).
 func (m *Magnet) buildEngine() {
 	m.eng = query.NewEngine(m.g, m.sch, m.text, m.itemsSlice)
-	m.reshard()
-	shards := 1
-	if m.sharding != nil {
-		shards = m.sharding.N
-	}
-	m.planner = plan.New(shards, m.opts.PlanCache)
+	m.installUniverse()
+	m.planner = plan.New(m.opts.PlanCache)
 }
 
-// reshard rebuilds the scatter-gather layout from the current item
-// universe and re-installs the engine's universe source. Called wherever
-// itemIDs changes (open, reindex, incremental index/remove); the
+// installUniverse (re-)installs the engine's universe source. Called
+// wherever itemIDs changes (open, reindex, incremental index/remove); the
 // re-installation bumps the engine's universe epoch, which is what
-// invalidates the planner's delta caches on universe changes that leave
+// invalidates the planner's delta cache on universe changes that leave
 // the graph untouched (RemoveItem, text-only reindexing).
-func (m *Magnet) reshard() {
+func (m *Magnet) installUniverse() {
 	m.eng.SetUniverseIDs(func() itemset.Set { return m.itemIDs })
-	if m.opts.Shards > 1 {
-		m.sharding = query.BuildSharding(m.opts.Shards, m.itemIDs)
-	} else {
-		m.sharding = nil
-	}
 }
 
-// evalQuery evaluates q through the instance's configured serving path:
-// scatter-gather over the shard layout when Options.Shards > 1, the plain
-// instrumented evaluation otherwise, each routed through the planner when
-// enabled. The second return is the result's per-shard partition (nil
-// when unsharded) for downstream stages to reuse.
-func (m *Magnet) evalQuery(ctx context.Context, q query.Query) (query.Set, []itemset.Set) {
-	if sh := m.sharding; sh != nil {
-		if m.planner != nil {
-			return m.planner.EvalShardedParts(ctx, m.eng, q, sh, m.pool)
-		}
-		return m.eng.EvalShardedParts(ctx, q, sh, m.pool)
-	}
+// evalQuery evaluates q through the planner when enabled, the plain
+// instrumented evaluation otherwise.
+func (m *Magnet) evalQuery(ctx context.Context, q query.Query) query.Set {
 	if m.planner != nil {
-		return m.planner.EvalContext(ctx, m.eng, q), nil
+		return m.planner.EvalContext(ctx, m.eng, q)
 	}
-	return m.eng.EvalContext(ctx, q), nil
+	return m.eng.EvalContext(ctx, q)
 }
 
 // Reindex recomputes the item universe, the text index and all vectors;
@@ -283,7 +249,7 @@ func (m *Magnet) IndexItem(item rdf.IRI) {
 		m.items[i] = item
 		id := m.g.Interner().Intern(item)
 		m.itemIDs = m.itemIDs.Union(itemset.FromSorted([]uint32{id}))
-		m.reshard()
+		m.installUniverse()
 	}
 }
 
@@ -298,7 +264,7 @@ func (m *Magnet) RemoveItem(item rdf.IRI) {
 		m.items = append(m.items[:i], m.items[i+1:]...)
 		if id, ok := m.g.SubjectID(item); ok {
 			m.itemIDs = m.itemIDs.Minus(itemset.FromSorted([]uint32{id}))
-			m.reshard()
+			m.installUniverse()
 		}
 	}
 }
@@ -329,15 +295,6 @@ func (m *Magnet) chooseItems() []rdf.IRI {
 // Pool returns the instance's shared worker pool.
 func (m *Magnet) Pool() *par.Pool { return m.pool }
 
-// Shards returns the scatter-gather shard count the instance serves with
-// (0 when unsharded).
-func (m *Magnet) Shards() int {
-	if m.sharding == nil {
-		return 0
-	}
-	return m.sharding.N
-}
-
 // Close releases the instance's worker pool and, for segment-backed
 // instances, unmaps the segment files. Sessions keep working after Close —
 // every parallel seam degrades to its serial path — but segment-backed
@@ -346,9 +303,6 @@ func (m *Magnet) Close() {
 	m.pool.Close()
 	if m.set != nil {
 		_ = m.set.Close()
-	}
-	for _, s := range m.shardSets {
-		_ = s.Close()
 	}
 }
 

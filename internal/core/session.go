@@ -103,7 +103,6 @@ func (m *Magnet) NewSession() *Session {
 		Text:       m.text,
 		Tracker:    s.tracker,
 		LookupView: s.lookupView,
-		Pool:       m.pool,
 	}
 	build := m.opts.Analysts
 	if build == nil {
@@ -164,12 +163,9 @@ func (s *Session) goTo(v blackboard.View) {
 
 func (s *Session) goToQuery(q query.Query) {
 	ctx, st := s.startStep("session.query")
-	res, parts := s.m.evalQuery(ctx, q)
-	items := res.Items()
+	items := s.m.evalQuery(ctx, q).Items()
 	s.tracker.PushQuery(q)
-	v := blackboard.CollectionView(q, items)
-	v.Shards = parts
-	s.goTo(v)
+	s.goTo(blackboard.CollectionView(q, items))
 	st.sp.SetInt("items", len(items))
 	st.finish(stepQueryCount, stepQueryNS)
 }
@@ -272,10 +268,7 @@ func (s *Session) Back() bool {
 	if !ok {
 		return false
 	}
-	res, parts := s.m.evalQuery(s.ctx, q)
-	v := blackboard.CollectionView(q, res.Items())
-	v.Shards = parts
-	s.goTo(v)
+	s.goTo(blackboard.CollectionView(q, s.m.evalQuery(s.ctx, q).Items()))
 	return true
 }
 
@@ -338,15 +331,7 @@ func (s *Session) Overview(maxValues int) []facets.Facet {
 		ByCount:   true,
 		Pool:      s.m.pool,
 	}
-	var fs []facets.Facet
-	if s.current.Shards != nil {
-		// Sharded serving: the view carries the collection's partition from
-		// query evaluation; summarize per shard and merge the counts
-		// (byte-identical to the unsharded pass).
-		fs = facets.SummarizeShards(ctx, s.m.g, s.m.sch, s.current.Shards, opts)
-	} else {
-		fs = facets.SummarizeContext(ctx, s.m.g, s.m.sch, s.Items(), opts)
-	}
+	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, s.Items(), opts)
 	st.sp.SetInt("facets", len(fs))
 	st.finish(stepOverviewCount, stepOverviewNS)
 	return fs

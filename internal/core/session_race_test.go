@@ -11,8 +11,8 @@ import (
 )
 
 // TestConcurrentSessions stresses the serving contract behind magnet-load:
-// one shared Magnet (with its one worker pool and, here, sharded
-// scatter-gather evaluation), many concurrent Sessions each doing a full
+// one shared Magnet (with its one worker pool and shared plan cache), many
+// concurrent Sessions each doing a full
 // navigation loop — search, refine, pane, overview, back. Sessions are
 // single-user, but distinct sessions must be freely concurrent: all shared
 // engine state is read-only after Open. Run under -race this is the
@@ -20,7 +20,7 @@ import (
 // session sees identical results regardless of interleaving.
 func TestConcurrentSessions(t *testing.T) {
 	g := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
-	m := Open(g, Options{Parallelism: 4, Shards: 4})
+	m := Open(g, Options{Parallelism: 4})
 	defer m.Close()
 
 	const sessions = 32

@@ -9,7 +9,7 @@ import (
 // epoch stamps a cache generation. A cached result set is valid exactly
 // while the graph is unmutated (its Version) and the engine's universe is
 // unchanged (its UniverseEpoch — core.Magnet re-installs the universe
-// source on every reshard, so item additions and removals bump it even
+// source whenever the item set changes, so item additions and removals bump it even
 // when they do not touch the graph).
 type epoch struct {
 	graph    uint64

@@ -59,7 +59,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 
 	bumps := []epoch{
 		{graph: 2, universe: 1}, // graph mutation
-		{graph: 2, universe: 2}, // universe change (reshard)
+		{graph: 2, universe: 2}, // universe change (item added or removed)
 	}
 	for _, next := range bumps {
 		if _, ok := c.get(next, "a"); ok {
@@ -76,19 +76,13 @@ func TestCacheEpochInvalidation(t *testing.T) {
 }
 
 func TestNewPlannerCapacityModes(t *testing.T) {
-	if pl := New(1, -1); pl != nil {
+	if pl := New(-1); pl != nil {
 		t.Error("negative capacity should disable the planner (nil)")
 	}
-	if pl := New(0, 0); pl == nil || len(pl.caches) != 1 {
-		t.Error("shards<1 should still build one unsharded cache")
+	if pl := New(0); pl == nil || pl.cache.cap != DefaultCacheSize {
+		t.Error("zero capacity should build a DefaultCacheSize cache")
 	}
-	pl := New(4, 7)
-	if len(pl.caches) != 4 {
-		t.Fatalf("4-shard planner has %d caches", len(pl.caches))
-	}
-	for _, c := range pl.caches {
-		if c.cap != 7 {
-			t.Errorf("cache capacity %d, want 7", c.cap)
-		}
+	if pl := New(7); pl.cache.cap != 7 {
+		t.Errorf("cache capacity %d, want 7", pl.cache.cap)
 	}
 }

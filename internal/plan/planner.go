@@ -12,33 +12,25 @@
 //     query.EvalWithinSet, so selective conjunctions never materialize a
 //     large intermediate set and Not never materializes the universe.
 //
-//   - Delta caching: a bounded per-shard LRU (cache.go) of frozen result
-//     sets keyed by the canonical Query.Key(), invalidated by a
-//     (graph version, universe epoch) stamp. A Refine step then costs
-//     one EvalWithin against the cached parent; Back and RemoveConstraint
-//     are pure hits.
+//   - Delta caching: a bounded LRU (cache.go) of frozen result sets keyed
+//     by the canonical Query.Key(), invalidated by a (graph version,
+//     universe epoch) stamp. A Refine step then costs one EvalWithin
+//     against the cached parent; Back and RemoveConstraint are pure hits.
 //
-// Correctness leans on conjunction algebra only: intersection commutes,
-// (C ∩ U) \ E = C ∩ (U \ E), and restriction to a shard's ID space
-// distributes over both — the same identities the scatter-gather merge
-// already relies on. The planner therefore composes with Options.Shards
-// (per-shard caches holding shard-restricted sets, merged exactly as the
-// unplanned path merges) and with frozen segment backings (which are just
-// read-only engines).
+// Correctness leans on conjunction algebra only: intersection commutes
+// and (C ∩ U) \ E = C ∩ (U \ E). The planner therefore composes with
+// frozen segment backings, which are just read-only engines.
 package plan
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"magnet/internal/ids"
 	"magnet/internal/itemset"
 	"magnet/internal/obs"
-	"magnet/internal/par"
 	"magnet/internal/query"
 )
 
@@ -56,39 +48,29 @@ var (
 	planEstRatio = obs.NewHistogram("plan.est.ratio")
 )
 
-// DefaultCacheSize is the per-shard delta-cache capacity when
+// DefaultCacheSize is the delta-cache capacity when
 // core.Options.PlanCache is zero. Navigation histories are shallow — a
 // study task revisits a few dozen states — so a few hundred entries hold
 // every state many concurrent sessions step through.
 const DefaultCacheSize = 256
 
-// Planner carries the delta caches for one serving instance: one cache
-// per shard (index 0 doubles as the unsharded cache), so shard workers
-// never contend on one lock and cached sets stay within their shard's ID
-// space. Safe for concurrent use by any number of sessions.
+// Planner carries the delta cache for one serving instance. Safe for
+// concurrent use by any number of sessions.
 type Planner struct {
-	caches []*cache
+	cache *cache
 }
 
-// New builds a planner for an instance serving with the given shard count
-// (0 and 1 both mean unsharded). capacity sizes each per-shard cache:
-// 0 means DefaultCacheSize, negative disables planning entirely (New
-// returns nil, and a nil *Planner simply isn't routed to).
-func New(shards, capacity int) *Planner {
+// New builds a planner whose delta cache holds capacity entries: 0 means
+// DefaultCacheSize, negative disables planning entirely (New returns nil,
+// and a nil *Planner simply isn't routed to).
+func New(capacity int) *Planner {
 	if capacity < 0 {
 		return nil
 	}
 	if capacity == 0 {
 		capacity = DefaultCacheSize
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	caches := make([]*cache, shards)
-	for i := range caches {
-		caches[i] = newCache(capacity)
-	}
-	return &Planner{caches: caches}
+	return &Planner{cache: newCache(capacity)}
 }
 
 // EvalContext evaluates q through the planner: cache hit, parent delta,
@@ -97,52 +79,16 @@ func New(shards, capacity int) *Planner {
 func (pl *Planner) EvalContext(ctx context.Context, e *query.Engine, q query.Query) query.Set {
 	start := time.Now()
 	ep := epoch{graph: e.Graph().Version(), universe: e.UniverseEpoch()}
-	out := pl.evalCached(ctx, e, q, pl.caches[0], ep, 0, 1)
+	out := pl.evalCached(ctx, e, q, ep)
 	planEvalCount.Inc()
 	planEvalNS.ObserveSince(start)
 	return e.FromIDs(out)
 }
 
-// EvalShardedParts is the planner's scatter-gather path: each shard plans
-// and caches independently under its own universe slice and the per-shard
-// results — stored and returned already restricted to the shard's ID
-// space — merge with the disjoint union, exactly like the unplanned
-// query.EvalShardedParts. A panic inside a shard re-raises on the caller;
-// on context cancellation the evaluation falls back to the naive serial
-// path so the result is never partial.
-func (pl *Planner) EvalShardedParts(ctx context.Context, e *query.Engine, q query.Query, sh *query.Sharding, pool *par.Pool) (query.Set, []itemset.Set) {
-	ctx, sp := obs.StartSpan(ctx, "plan.eval.sharded")
-	sp.SetInt("shards", sh.N)
-	start := time.Now()
-	ep := epoch{graph: e.Graph().Version(), universe: e.UniverseEpoch()}
-	parts := make([]itemset.Set, sh.N)
-	err := par.ForN(ctx, pool, sh.N, func(s int) {
-		se := e.WithUniverse(sh.Universes[s])
-		parts[s] = pl.evalCached(ctx, se, q, pl.caches[s%len(pl.caches)], ep, s, sh.N)
-	})
-	if err != nil {
-		var pe *par.PanicError
-		if errors.As(err, &pe) {
-			panic(pe)
-		}
-		full := e.EvalContext(ctx, q)
-		parts = full.IDs().Partition(sh.N, func(id uint32) int { return ids.Shard(id, sh.N) })
-	}
-	merged := e.FromIDs(itemset.MergeDisjoint(parts))
-	planEvalCount.Inc()
-	planEvalNS.ObserveSince(start)
-	sp.SetInt("results", merged.Len())
-	sp.End()
-	return merged, parts
-}
-
-// evalCached resolves one (engine, cache) evaluation: exact hit, then the
-// parent-delta probe, then the planned evaluation. shard/n locate the
-// cache in an n-way layout (n <= 1 means unsharded); planned results are
-// restricted to the shard before caching, so everything the cache holds —
-// and therefore every hit and every delta, which only ever shrink a
-// cached set — stays within the shard's ID space.
-func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Query, c *cache, ep epoch, shard, n int) itemset.Set {
+// evalCached resolves one evaluation: exact hit, then the parent-delta
+// probe, then the planned evaluation, caching whatever it computes.
+func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Query, ep epoch) itemset.Set {
+	c := pl.cache
 	ctx, sp := obs.StartSpan(ctx, "plan.eval")
 	key := q.Key()
 	if res, ok := c.get(ep, key); ok {
@@ -186,9 +132,6 @@ func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Quer
 	}
 
 	out := pl.plannedEval(ctx, e, q, sp)
-	if n > 1 {
-		out = query.RestrictToShard(out, shard, n)
-	}
 	planCacheEvict.Add(uint64(c.put(ep, key, out)))
 	sp.SetAttr("cache", "planned")
 	sp.SetInt("results", out.Len())

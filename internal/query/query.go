@@ -161,8 +161,8 @@ type Engine struct {
 	// plane, skipping the IRI round-trip (core.Magnet maintains it).
 	universeIDs func() itemset.Set
 	// epoch counts universe installations. Owners re-install the universe
-	// source whenever its *content* changes (core.Magnet does so on every
-	// reshard), so caches keyed on (graph version, epoch) — the plan
+	// source whenever its *content* changes (core.Magnet does so whenever
+	// an item is added or removed), so caches keyed on (graph version, epoch) — the plan
 	// package's delta cache — invalidate exactly when results could move.
 	epoch uint64
 }
@@ -185,16 +185,6 @@ func (e *Engine) SetUniverseIDs(f func() itemset.Set) {
 // the graph's Version it forms the validity stamp for caches of query
 // results: a cached set is reusable while both are unchanged.
 func (e *Engine) UniverseEpoch() uint64 { return e.epoch }
-
-// WithUniverse returns a shallow copy of the engine whose universe is the
-// given dense-ID set; the copy shares graph, schema and text index.
-// Sharded planning evaluates each shard under its own universe slice this
-// way, mirroring EvalShardedParts' per-shard engine copies.
-func (e *Engine) WithUniverse(u itemset.Set) *Engine {
-	se := *e
-	se.universeIDs = func() itemset.Set { return u }
-	return &se
-}
 
 // FromIDs wraps a dense-ID itemset from the engine's ID space as a Set
 // without copying — the exported counterpart of setFromIDs for layers

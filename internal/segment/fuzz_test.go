@@ -61,6 +61,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(shardLayoutManifest))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseManifest(data)
 		if err != nil {

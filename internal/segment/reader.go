@@ -180,12 +180,6 @@ type Manifest struct {
 	// IndexAllSubjects mirrors core.Options.IndexAllSubjects at build time;
 	// open applies it so the item universe matches the build.
 	IndexAllSubjects bool `json:"indexAllSubjects"`
-	// Shard and Shards mark a per-shard set in a scatter-gather layout
-	// (this directory serves shard Shard of Shards); both zero for a
-	// whole-corpus set. The assignment function is ids.Shard and is
-	// frozen, so any reader can validate the partition.
-	Shard  int `json:"shard,omitempty"`
-	Shards int `json:"shards,omitempty"`
 	// Items and Triples are corpus statistics for display and sanity checks.
 	Items   int `json:"items"`
 	Triples int `json:"triples"`
@@ -214,9 +208,6 @@ func ParseManifest(b []byte) (Manifest, error) {
 	}
 	if m.Items < 0 || m.Triples < 0 {
 		return Manifest{}, fmt.Errorf("segment: manifest has negative counts (items=%d triples=%d)", m.Items, m.Triples)
-	}
-	if m.Shards < 0 || m.Shard < 0 || (m.Shards > 0 && m.Shard >= m.Shards) {
-		return Manifest{}, fmt.Errorf("segment: manifest shard %d of %d invalid", m.Shard, m.Shards)
 	}
 	seen := make(map[string]bool, len(m.Files))
 	for _, f := range m.Files {

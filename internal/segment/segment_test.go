@@ -177,8 +177,15 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// shardLayoutManifest is a valid manifest plus the "shard"/"shards"
+// fields that per-shard directories of the retired scatter-gather layout
+// carried. Such a directory holds only part of the item universe, so it
+// must fail to open rather than serve a partial corpus.
+const shardLayoutManifest = `{"format":1,"tool":"magnet-build","dataset":"recipes","indexAllSubjects":false,"shard":1,"shards":2,"items":247,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`
+
 func TestParseManifestRejects(t *testing.T) {
 	cases := map[string]string{
+		"shard layout":  shardLayoutManifest,
 		"empty":         "",
 		"not json":      "{",
 		"wrong format":  `{"format": 99, "files": []}`,

@@ -10,8 +10,8 @@ import (
 // Replay drives the study's simulated users against an externally provided
 // core.Magnet instance — the serving-side counterpart of Study, which owns
 // its corpus and systems. cmd/magnet-load uses it to replay hundreds of
-// concurrent navigation sessions against one shared instance (in-memory,
-// segment-backed, or shard-layout).
+// concurrent navigation sessions against one shared instance (in-memory or
+// segment-backed).
 //
 // A Replay is safe for concurrent use: the study environment is read-only
 // after preparation, each Session call creates its own core.Session and

@@ -80,6 +80,14 @@ func TestSegmentEquivalenceRecipes(t *testing.T) {
 		),
 		// Figure 2: unrefined overview of the whole collection.
 		"fig2": query.NewQuery(query.TypeIs(recipes.ClassRecipe)),
+		// Keyword plus negation: text scoring and Not against the universe.
+		"negation": query.NewQuery(
+			query.Keyword{Text: "chicken"},
+			query.Not{P: query.Property{
+				Prop:  recipes.PropIngredient,
+				Value: recipes.Ingredient("Walnuts"),
+			}},
+		),
 	}
 	for name, q := range queries {
 		want := renderScenario(mem, q)
