@@ -60,7 +60,7 @@ fuzz:
 # stress tests and every serial-vs-parallel equivalence/determinism test.
 race-par:
 	$(GO) test -race -run 'Pool|Submit|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid' \
-		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/
+		./internal/par/ ./internal/blackboard/ ./internal/analysts/ ./internal/facets/ ./internal/index/ ./internal/vsm/
 
 # Observability gate: the flight-recorder and exposition goldens (ring
 # retention, Prometheus text format, /debug/traces JSON) plus the

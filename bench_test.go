@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"magnet/internal/analysts"
 	"magnet/internal/annotate"
 	"magnet/internal/blackboard"
 	"magnet/internal/core"
@@ -130,6 +131,35 @@ func BenchmarkFig1NavigationPane(b *testing.B) {
 		suggestions = len(pane.AllSuggestions())
 	}
 	b.ReportMetric(float64(suggestions), "suggestions")
+}
+
+// BenchmarkLandingPane: the navigation pane of the landing page, whose
+// collection is the whole 6,444-recipe corpus — the size at which the
+// collection analysts' per-member work (refinement counts, range
+// histograms, the centroid) dominates a click. Fig1's small Greek ∧
+// Parsley collection never shows it.
+func BenchmarkLandingPane(b *testing.B) {
+	sets := []struct {
+		name string
+		set  func(*analysts.Env) []blackboard.Analyst
+	}{
+		{"DefaultSet", analysts.DefaultSet},
+		{"BaselineSet", analysts.BaselineSet},
+	}
+	g := recipes.Build(recipes.Config{Recipes: benchCorpusSize, Seed: 1})
+	for _, set := range sets {
+		b.Run(set.name, func(b *testing.B) {
+			m := core.Open(g, core.Options{Analysts: set.set})
+			s := m.NewSession()
+			b.ResetTimer()
+			var suggestions int
+			for i := 0; i < b.N; i++ {
+				suggestions = len(s.Pane().AllSuggestions())
+			}
+			b.ReportMetric(float64(len(s.Items())), "items")
+			b.ReportMetric(float64(suggestions), "suggestions")
+		})
+	}
 }
 
 // BenchmarkFig2FacetOverview (E2): the large-collection facet overview over

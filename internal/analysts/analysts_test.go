@@ -2,6 +2,7 @@ package analysts_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"magnet/internal/blackboard"
 	"magnet/internal/core"
 	"magnet/internal/datasets/recipes"
+	"magnet/internal/facets"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 )
@@ -383,5 +385,35 @@ func TestDefaultAndBaselineSets(t *testing.T) {
 		if !names[want] {
 			t.Errorf("default set missing %q", want)
 		}
+	}
+}
+
+// "INF"^^xsd:double is a legal literal. It used to reach the range
+// widget's bucket arithmetic and panic, failing the whole pane; now it is
+// simply not a numeric value.
+func TestPaneSurvivesNonFiniteLiteral(t *testing.T) {
+	g := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
+	odd := g.SubjectsOfType(recipes.ClassRecipe)[0]
+	for _, o := range g.Objects(odd, recipes.PropServings) {
+		g.Remove(odd, recipes.PropServings, o)
+	}
+	g.Add(odd, recipes.PropServings, rdf.Literal{Lexical: "INF", Datatype: rdf.XSDDouble})
+	m := core.Open(g, core.Options{})
+	s := m.NewSession()
+	if len(s.Pane().AllSuggestions()) == 0 {
+		t.Fatal("empty pane")
+	}
+	var h *facets.Histogram
+	for _, sg := range suggestionsOf(s.Board(), "numeric-range") {
+		if act := sg.Action.(blackboard.ShowRange); act.Prop == recipes.PropServings {
+			h = &act.Histogram
+		}
+	}
+	if h == nil {
+		t.Fatal("no servings range widget")
+	}
+	recipesN := len(g.SubjectsOfType(recipes.ClassRecipe))
+	if h.Count != recipesN-1 || math.IsInf(h.Max, 0) {
+		t.Errorf("servings histogram over %d of %d recipes, max %v; want every recipe but the INF one", h.Count, recipesN, h.Max)
 	}
 }

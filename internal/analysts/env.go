@@ -12,6 +12,7 @@ import (
 	"magnet/internal/blackboard"
 	"magnet/internal/history"
 	"magnet/internal/index"
+	"magnet/internal/itemset"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -39,6 +40,28 @@ func (e *Env) Label(r rdf.IRI) string { return e.Graph.Label(r) }
 // Labeler returns the query.Labeler for this environment.
 func (e *Env) Labeler() query.Labeler {
 	return func(r rdf.IRI) string { return e.Graph.Label(r) }
+}
+
+// memoKey names the per-run values the collection analysts share through
+// blackboard.View.Memo; the type is private so no other package collides.
+type memoKey int
+
+const (
+	collectionKey memoKey = iota
+	centroidKey
+)
+
+// collection returns the view's collection interned on the graph's
+// dense-ID plane, once per analyst run.
+func (e *Env) collection(v blackboard.View) itemset.Set {
+	return v.Memo(collectionKey, func() any { return e.Graph.SubjectIDSetOf(v.Collection) }).(itemset.Set)
+}
+
+// centroid returns the collection centroid, once per analyst run, so
+// Refinement and SimilarCollection read the very same vector. It is
+// shared: read it, never write it.
+func (e *Env) centroid(v blackboard.View) map[string]float64 {
+	return v.Memo(centroidKey, func() any { return e.Model.Centroid(v.Collection) }).(map[string]float64)
 }
 
 // DefaultSet returns the paper's full analyst complement, ready for

@@ -73,8 +73,9 @@ func (*RangeWidget) Triggered(v blackboard.View) bool {
 // Suggest implements blackboard.Analyst.
 func (r *RangeWidget) Suggest(v blackboard.View, b *blackboard.Board) {
 	n := len(v.Collection)
+	coll := r.env.collection(v)
 	for _, p := range r.env.Schema.NumericProperties() {
-		h, ok := facets.NumericHistogram(r.env.Graph, v.Collection, p, r.buckets)
+		h, ok := facets.NumericHistogramSet(r.env.Graph, coll, p, r.buckets)
 		if !ok {
 			continue
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"magnet/internal/blackboard"
+	"magnet/internal/itemset"
 	"magnet/internal/query"
-	"magnet/internal/rdf"
 	"magnet/internal/vsm"
 )
 
@@ -36,17 +36,11 @@ func (*Refinement) Triggered(v blackboard.View) bool {
 
 // Suggest implements blackboard.Analyst.
 func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
-	coords := r.env.Model.RefinementCoords(v.Collection, r.k, nil)
+	coords := vsm.RefinementCoordsOf(r.env.centroid(v), r.k, nil)
 	if len(coords) == 0 {
 		return
 	}
-	// Counts for detail display: how many collection members match each
-	// direct attribute/value pair.
-	counts := r.memberCounts(v.Collection)
-	members := make(map[rdf.IRI]bool, len(v.Collection))
-	for _, it := range v.Collection {
-		members[it] = true
-	}
+	coll := r.env.collection(v)
 	n := len(v.Collection)
 	maxW := coords[0].Weight
 
@@ -55,30 +49,26 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 		weight := wc.Weight / maxW
 		switch c.Kind {
 		case vsm.CoordObject:
-			r.suggestObject(b, c, weight, counts, members, n)
+			r.suggestObject(b, c, weight, coll, n)
 		case vsm.CoordWord:
 			r.suggestWord(b, c, weight)
 		}
 	}
 }
 
-func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight float64, counts map[string]int, members map[rdf.IRI]bool, n int) {
+// suggestObject posts one attribute/value refinement with its "k of n"
+// member count. The count is the collection's matches for the
+// coordinate: one posting intersection for a direct attribute, a
+// candidate-restricted evaluation for a composed path.
+func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight float64, coll itemset.Set, n int) {
 	var pred query.Predicate
-	cnt := 0
+	var cnt int
 	if len(c.Path) == 1 {
 		pred = query.Property{Prop: c.Path[0], Value: c.Value}
-		cnt = counts[countKey(c.Path[0], c.Value)]
+		cnt = r.env.Graph.SubjectIDSet(c.Path[0], c.Value).IntersectCount(coll)
 	} else {
-		pp := query.PathProperty{Path: c.Path, Value: c.Value}
-		pred = pp
-		// Composed coordinates need a real evaluation to learn how many
-		// collection members they match.
-		pp.Eval(r.env.Engine).ForEach(func(it rdf.IRI) bool {
-			if members[it] {
-				cnt++
-			}
-			return true
-		})
+		pred = query.PathProperty{Path: c.Path, Value: c.Value}
+		cnt = query.EvalWithinSet(r.env.Engine, pred, coll).Len()
 	}
 	if cnt == 0 || cnt == n {
 		// Matches nothing or everything: no refinement value.
@@ -118,22 +108,4 @@ func (r *Refinement) suggestWord(b *blackboard.Board, c vsm.Coord, weight float6
 		Key:     "refine:" + pred.Key(),
 		Analyst: r.Name(),
 	})
-}
-
-func countKey(p rdf.IRI, v rdf.Term) string { return string(p) + "\x00" + v.Key() }
-
-func (r *Refinement) memberCounts(items []rdf.IRI) map[string]int {
-	g := r.env.Graph
-	counts := make(map[string]int)
-	for _, it := range items {
-		for _, p := range g.PredicatesOf(it) {
-			if r.env.Schema.Hidden(p) {
-				continue
-			}
-			for _, v := range g.Objects(it, p) {
-				counts[countKey(p, v)]++
-			}
-		}
-	}
-	return counts
 }

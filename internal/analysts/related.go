@@ -137,7 +137,7 @@ func (*SimilarCollection) Triggered(v blackboard.View) bool {
 
 // Suggest implements blackboard.Analyst.
 func (s *SimilarCollection) Suggest(v blackboard.View, b *blackboard.Board) {
-	sims := s.env.Model.SimilarToCollection(v.Collection, s.k, true)
+	sims := s.env.Model.SimilarToCentroid(s.env.centroid(v), v.Collection, s.k, true)
 	if len(sims) == 0 {
 		return
 	}

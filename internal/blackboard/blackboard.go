@@ -58,6 +58,48 @@ type View struct {
 	Fixed bool
 	// Name titles fixed collections and identifies them in history.
 	Name string
+
+	// memo is the per-run cache RunContext attaches to the copy of the
+	// view it hands its analysts; nil on every other view.
+	memo *memo
+}
+
+// memo caches values derived from a view for the analysts of one
+// Registry run, so work several analysts need (the interned collection,
+// its centroid) is done once per run. It is created per run and dropped
+// when the run returns: nothing outlives the run, so a mutation between
+// runs is always seen. Safe for concurrent use by one wave's analysts.
+type memo struct {
+	mu sync.Mutex
+	// entries maps a caller-private key to its once-computed value;
+	// guarded by mu.
+	entries map[any]*memoEntry
+}
+
+type memoEntry struct {
+	once sync.Once
+	val  any
+}
+
+// Memo returns the value compute derives from the view, computing it at
+// most once per Registry run: analysts running in the same run — at once
+// or one after another — share the first result. key should be of a type
+// private to the caller so unrelated packages cannot collide, and the
+// value must be treated as read-only. Outside a run (a view not handed
+// out by Run/RunContext) Memo simply calls compute.
+func (v View) Memo(key any, compute func() any) any {
+	if v.memo == nil {
+		return compute()
+	}
+	v.memo.mu.Lock()
+	e, ok := v.memo.entries[key]
+	if !ok {
+		e = &memoEntry{}
+		v.memo.entries[key] = e
+	}
+	v.memo.mu.Unlock()
+	e.once.Do(func() { e.val = compute() })
+	return e.val
 }
 
 // ItemView returns a view of a single item.
@@ -427,6 +469,9 @@ func (r *Registry) Run(v View) *Board {
 // reactor rounds are counted separately (the §4.3 "triggered by results
 // from other analysts" round).
 //
+// The analysts of both rounds see one copy of v carrying a fresh per-run
+// memo (View.Memo).
+//
 // When the registry has a pool, the primary round and the reactor round
 // each run as one parallel wave: every analyst posts to a private board
 // and the private boards are merged in registration order, so the merged
@@ -443,6 +488,7 @@ func (r *Registry) RunContext(ctx context.Context, v View) *Board {
 
 	ctx, sp := obs.StartSpan(ctx, "blackboard.run")
 	start := time.Now()
+	v.memo = &memo{entries: make(map[any]*memoEntry)}
 	b := NewBoard()
 	var triggered []int
 	for i, a := range analysts {

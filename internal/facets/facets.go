@@ -102,14 +102,7 @@ func Summarize(g *rdf.Graph, sch *schema.Store, items []rdf.IRI, opts Options) [
 
 func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, items []rdf.IRI, opts Options) []Facet {
 	start := time.Now()
-	collIDs := make([]uint32, 0, len(items))
-	for _, it := range items {
-		// Items absent from the graph carry no properties.
-		if id, ok := g.SubjectID(it); ok {
-			collIDs = append(collIDs, id)
-		}
-	}
-	facets := summarizeSet(ctx, g, sch, itemset.FromUnsorted(collIDs), opts)
+	facets := summarizeSet(ctx, g, sch, g.SubjectIDSetOf(items), opts)
 	summarizeCount.Inc()
 	summarizeNS.ObserveSince(start)
 	summarizeFacets.Observe(int64(len(facets)))
@@ -290,24 +283,46 @@ type Histogram struct {
 // NumericHistogram summarizes prop's numeric values over the collection in
 // nbuckets equal-width buckets. Items without a parseable numeric value are
 // skipped; ok is false when fewer than two items contribute (no range to
-// select).
+// select). It interns the collection and runs NumericHistogramSet.
 func NumericHistogram(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, nbuckets int) (Histogram, bool) {
+	return NumericHistogramSet(g, g.SubjectIDSetOf(items), prop, nbuckets)
+}
+
+// NumericHistogramSet is NumericHistogram over a collection already on the
+// graph's dense-ID plane. It walks prop's value postings in key order and
+// gives each member the first numeric value whose posting holds it — the
+// first parseable value of the member's key-sorted objects, so one value
+// per item in the preview.
+func NumericHistogramSet(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, nbuckets int) (Histogram, bool) {
 	if nbuckets <= 0 {
 		nbuckets = 10
 	}
+	if coll.Len() < 2 {
+		return Histogram{Prop: prop}, false
+	}
+	maxID, _ := coll.Select(coll.Len() - 1)
+	seen := make([]bool, int(maxID)+1)
 	var vals []float64
-	for _, it := range items {
-		for _, o := range g.Objects(it, prop) {
-			lit, ok := o.(rdf.Literal)
-			if !ok {
-				continue
-			}
-			if f, ok := lit.Float(); ok {
+	var buf []uint32 // intersection scratch, reused across values
+	g.ForEachValuePosting(prop, func(o rdf.Term, subjects itemset.Set) bool {
+		lit, ok := o.(rdf.Literal)
+		if !ok {
+			return true
+		}
+		f, ok := lit.Float()
+		if !ok {
+			return true
+		}
+		inter := itemset.IntersectInto(buf, subjects, coll)
+		buf = inter.Buffer()[:0]
+		for _, id := range inter.Slice() {
+			if !seen[id] {
+				seen[id] = true
 				vals = append(vals, f)
-				break // one value per item in the preview
 			}
 		}
-	}
+		return len(vals) < coll.Len()
+	})
 	if len(vals) < 2 {
 		return Histogram{Prop: prop}, false
 	}
@@ -324,10 +339,18 @@ func NumericHistogram(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, nbuckets int)
 		h.Buckets[0] = len(vals)
 		return h, true
 	}
+	width := h.Max - h.Min
 	for _, v := range vals {
-		b := int(float64(nbuckets) * (v - h.Min) / (h.Max - h.Min))
-		if b == nbuckets {
-			b--
+		var b int
+		if math.IsInf(width, 0) {
+			// The span overflows float64 (say -1e308..1e308): bucket the
+			// halved values, whose span cannot, rather than Inf/Inf = NaN.
+			b = int(float64(nbuckets) * ((v/2 - h.Min/2) / (h.Max/2 - h.Min/2)))
+		} else {
+			b = int(float64(nbuckets) * (v - h.Min) / width)
+		}
+		if b >= nbuckets {
+			b = nbuckets - 1
 		}
 		h.Buckets[b]++
 	}

@@ -1,8 +1,13 @@
 package facets
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
+	"time"
 
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -213,5 +218,144 @@ func TestFacetScoreOrdering(t *testing.T) {
 	}
 	if (Facet{}).Score() != 0 {
 		t.Error("empty facet score should be 0")
+	}
+}
+
+// Non-finite literals are legal xsd:double forms; they used to reach the
+// bucket arithmetic as NaN/Inf and panic with a negative index. They are
+// skipped like any unparseable value now.
+func TestNumericHistogramSkipsNonFinite(t *testing.T) {
+	p := rdf.IRI(ex + "n")
+	for _, bad := range []string{"NaN", "INF", "-INF"} {
+		g := rdf.NewGraph()
+		var items []rdf.IRI
+		for i, lex := range []string{"1", "2", bad} {
+			it := rdf.IRI(fmt.Sprintf("%si%d", ex, i))
+			items = append(items, it)
+			g.Add(it, p, rdf.Literal{Lexical: lex, Datatype: rdf.XSDDouble})
+		}
+		h, ok := NumericHistogram(g, items, p, 4)
+		if !ok || h.Count != 2 || h.Min != 1 || h.Max != 2 || h.Buckets[0] != 1 || h.Buckets[3] != 1 {
+			t.Errorf("{1, 2, %s}: histogram = %+v, %v", bad, h, ok)
+		}
+	}
+}
+
+// A span wider than MaxFloat64 overflows Max-Min to +Inf; the buckets
+// must still be filled, not indexed by int(NaN).
+func TestNumericHistogramHugeSpan(t *testing.T) {
+	g := rdf.NewGraph()
+	p := rdf.IRI(ex + "n")
+	var items []rdf.IRI
+	for i, v := range []float64{-1e308, 0, 1e308} {
+		it := rdf.IRI(fmt.Sprintf("%si%d", ex, i))
+		items = append(items, it)
+		g.Add(it, p, rdf.NewFloat(v))
+	}
+	h, ok := NumericHistogram(g, items, p, 4)
+	if !ok || h.Buckets[0] != 1 || h.Buckets[2] != 1 || h.Buckets[3] != 1 {
+		t.Errorf("huge-span histogram = %+v, %v", h, ok)
+	}
+}
+
+// oracleNumericHistogram is the per-item walk NumericHistogram used
+// before it ran over value postings: each item contributes the first
+// parseable value of its key-sorted objects.
+func oracleNumericHistogram(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, nbuckets int) (Histogram, bool) {
+	if nbuckets <= 0 {
+		nbuckets = 10
+	}
+	var vals []float64
+	for _, it := range items {
+		for _, o := range g.Objects(it, prop) {
+			lit, ok := o.(rdf.Literal)
+			if !ok {
+				continue
+			}
+			if f, ok := lit.Float(); ok {
+				vals = append(vals, f)
+				break
+			}
+		}
+	}
+	if len(vals) < 2 {
+		return Histogram{Prop: prop}, false
+	}
+	h := Histogram{Prop: prop, Min: vals[0], Max: vals[0], Buckets: make([]int, nbuckets), Count: len(vals)}
+	for _, v := range vals {
+		h.Min = math.Min(h.Min, v)
+		h.Max = math.Max(h.Max, v)
+	}
+	if h.Max == h.Min {
+		h.Buckets[0] = len(vals)
+		return h, true
+	}
+	for _, v := range vals {
+		b := int(float64(nbuckets) * (v - h.Min) / (h.Max - h.Min))
+		if b == nbuckets {
+			b--
+		}
+		h.Buckets[b]++
+	}
+	return h, true
+}
+
+// Property: over random graphs — multi-valued items, non-numeric and
+// temporal literals mixed with numbers, IRIs, and collection members
+// absent from the graph — the posting walk builds exactly the histogram
+// of the per-item walk, on both graph backings.
+func TestQuickNumericHistogramMatchesPerItemWalk(t *testing.T) {
+	p := rdf.IRI(ex + "n")
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := rdf.NewGraph()
+		var items []rdf.IRI
+		n := rng.Intn(30) + 1
+		for i := 0; i < n; i++ {
+			it := rdf.IRI(fmt.Sprintf("%si%d", ex, i))
+			if rng.Intn(6) == 0 {
+				items = append(items, it) // member absent from the graph
+				continue
+			}
+			if rng.Intn(4) != 0 {
+				items = append(items, it)
+			}
+			g.Add(it, rdf.Type, rdf.IRI(ex+"Thing"))
+			for j := rng.Intn(4); j > 0; j-- {
+				var o rdf.Term
+				switch rng.Intn(6) {
+				case 0:
+					o = rdf.NewString(fmt.Sprintf("s%d", rng.Intn(4)))
+				case 1:
+					o = rdf.NewDate(time.Date(2000+rng.Intn(5), 1, 1+rng.Intn(28), 0, 0, 0, 0, time.UTC))
+				case 2:
+					o = rdf.IRI(fmt.Sprintf("%sv%d", ex, rng.Intn(3)))
+				case 3:
+					o = rdf.NewFloat(float64(rng.Intn(2000)-1000) / 8)
+				case 4:
+					o = rdf.Literal{Lexical: []string{"NaN", "INF", "x1"}[rng.Intn(3)], Datatype: rdf.XSDDouble}
+				default:
+					o = rdf.NewInteger(int64(rng.Intn(100)))
+				}
+				g.Add(it, p, o)
+			}
+		}
+		nb := rng.Intn(12) + 1
+		want, wantOK := oracleNumericHistogram(g, items, p, nb)
+		seg, err := rdf.FromColumns(g.Columns())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gg := range []*rdf.Graph{g, seg} {
+			got, ok := NumericHistogram(gg, items, p, nb)
+			if ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d: got %+v %v, want %+v %v", seed, got, ok, want, wantOK)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -278,19 +278,23 @@ func (p PathProperty) Eval(e *Engine) Set {
 	if len(p.Path) == 0 {
 		return Set{}
 	}
+	return e.setFromIDs(p.chase(e, 0))
+}
+
+// chase returns the nodes reaching Value through Path[stop:] (Path must
+// be non-empty), walking back from Value: each step unions the subjects
+// linking to any node of the frontier.
+func (p PathProperty) chase(e *Engine, stop int) itemset.Set {
 	frontier := e.g.SubjectIDSet(p.Path[len(p.Path)-1], p.Value)
-	for i := len(p.Path) - 2; i >= 0; i-- {
+	for i := len(p.Path) - 2; i >= stop && !frontier.IsEmpty(); i-- {
 		b := itemset.NewBits(e.g.Interner().Len())
 		frontier.ForEach(func(id uint32) bool {
 			b.AddSet(e.g.SubjectIDSet(p.Path[i], e.g.SubjectByID(id)))
 			return true
 		})
 		frontier = b.Extract()
-		if frontier.IsEmpty() {
-			break
-		}
 	}
-	return e.setFromIDs(frontier)
+	return frontier
 }
 
 // Describe implements Predicate.

@@ -46,12 +46,27 @@ func (p Property) EvalWithin(e *Engine, candidates itemset.Set) itemset.Set {
 	return candidates.Intersect(e.g.SubjectIDSet(p.Prop, p.Value))
 }
 
-// EvalWithin implements WithinEvaluator. The backward path chase is
-// unchanged — intermediate frontiers range over linked resources, not
-// candidate items — but the final frontier intersects the candidates
-// instead of becoming a full Set.
+// EvalWithin implements WithinEvaluator. It chases the path backwards
+// like Eval as far as the resources one hop from the items — those
+// frontiers range over linked resources, not candidate items — and then
+// only collects candidates: each resource's posting is intersected with
+// them rather than unioned whole.
 func (p PathProperty) EvalWithin(e *Engine, candidates itemset.Set) itemset.Set {
-	return candidates.Intersect(p.Eval(e).IDs())
+	if len(p.Path) == 0 {
+		return itemset.Set{}
+	}
+	if len(p.Path) == 1 {
+		return candidates.Intersect(e.g.SubjectIDSet(p.Path[0], p.Value))
+	}
+	b := itemset.NewBits(e.g.Interner().Len())
+	var buf []uint32 // intersection scratch, reused across resources
+	p.chase(e, 1).ForEach(func(id uint32) bool {
+		inter := itemset.IntersectInto(buf, candidates, e.g.SubjectIDSet(p.Path[0], e.g.SubjectByID(id)))
+		buf = inter.Buffer()[:0]
+		b.AddSlice(inter.Slice())
+		return true
+	})
+	return b.Extract()
 }
 
 // rangeWithinCutoff bounds Range's per-candidate path: each candidate

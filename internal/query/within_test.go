@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 
 	"magnet/internal/index"
@@ -130,5 +131,54 @@ func TestKeysCacheMaintainedByEdits(t *testing.T) {
 
 	if NewQuery().Key() != KeyForTermKeys(nil) {
 		t.Error("empty query key mismatch")
+	}
+}
+
+// PathProperty's EvalWithin restricts only the last hop of the backward
+// chase to the candidates; for paths of every length, shared linked
+// resources and dead ends, it must still equal candidates ∩ Eval.
+func TestPathPropertyEvalWithinMatchesIntersect(t *testing.T) {
+	g := rdf.NewGraph()
+	pAuthor, pOrg, pCity := rdf.IRI(ex+"author"), rdf.IRI(ex+"org"), rdf.IRI(ex+"city")
+	var docs []rdf.IRI
+	for i := 0; i < 12; i++ {
+		doc := iri(fmt.Sprintf("d%02d", i))
+		docs = append(docs, doc)
+		g.Add(doc, pAuthor, iri(fmt.Sprintf("person%d", i%5)))
+		if i%3 == 0 { // some documents have two authors
+			g.Add(doc, pAuthor, iri(fmt.Sprintf("person%d", (i+2)%5)))
+		}
+	}
+	for i := 0; i < 5; i++ {
+		g.Add(iri(fmt.Sprintf("person%d", i)), pOrg, iri(fmt.Sprintf("org%d", i%3)))
+	}
+	g.Add(iri("org0"), pCity, iri("Boston"))
+	g.Add(iri("org1"), pCity, iri("Boston"))
+	g.Add(iri("org2"), pCity, iri("Paris"))
+	e := NewEngine(g, schema.NewStore(g), nil, func() []rdf.IRI { return docs })
+
+	preds := []PathProperty{
+		{Value: iri("Boston")},
+		{Path: []rdf.IRI{pAuthor}, Value: iri("person1")},
+		{Path: []rdf.IRI{pAuthor, pOrg}, Value: iri("org0")},
+		{Path: []rdf.IRI{pAuthor, pOrg, pCity}, Value: iri("Boston")},
+		{Path: []rdf.IRI{pAuthor, pOrg, pCity}, Value: iri("Paris")},
+		{Path: []rdf.IRI{pAuthor, pOrg, pCity}, Value: iri("Nowhere")},
+	}
+	all := e.Universe().IDs().Slice()
+	for mask := 0; mask < 1<<len(all); mask += 37 {
+		var ids []uint32
+		for i, id := range all {
+			if mask&(1<<i) != 0 {
+				ids = append(ids, id)
+			}
+		}
+		cands := itemset.FromSorted(ids)
+		for _, p := range preds {
+			want := e.FromIDs(cands).Intersect(p.Eval(e)).IDs()
+			if got := p.EvalWithin(e, cands); !got.Equal(want) {
+				t.Errorf("%s within %v = %v, want %v", p.Key(), ids, got.Slice(), want.Slice())
+			}
+		}
 	}
 }

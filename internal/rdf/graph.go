@@ -506,6 +506,19 @@ func (g *Graph) ForEachValuePosting(p IRI, f func(o Term, subjects itemset.Set) 
 	}
 }
 
+// SubjectIDSetOf interns a collection of items onto the dense-ID plane as
+// one sorted set. Items absent from the graph carry no properties, so
+// they are dropped; duplicates collapse.
+func (g *Graph) SubjectIDSetOf(items []IRI) itemset.Set {
+	ids := make([]uint32, 0, len(items))
+	for _, it := range items {
+		if id, ok := g.in.Lookup(it); ok {
+			ids = append(ids, id)
+		}
+	}
+	return itemset.FromUnsorted(ids)
+}
+
 // SubjectsFromIDs rehydrates a slice of item IDs to IRIs, sorted lexically
 // — the render-boundary conversion that keeps pane output byte-identical
 // to the string-keyed engine (ID order is interning order, not lexical).

@@ -153,3 +153,20 @@ func TestQuickLiteralStringEscapeNeverPanicsAndQuotes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// "NaN" and "INF" are legal xsd:double lexical forms that strconv accepts;
+// Float reports them (and out-of-range magnitudes) as not numeric, so no
+// consumer ever places a non-finite value on a numeric axis.
+func TestLiteralFloatRejectsNonFinite(t *testing.T) {
+	for _, lex := range []string{"NaN", "nan", "INF", "-INF", "+Inf", "infinity", "1e400", "-1e400"} {
+		l := Literal{Lexical: lex, Datatype: XSDDouble}
+		if f, ok := l.Float(); ok {
+			t.Errorf("Float(%q) = %g, true; want not numeric", lex, f)
+		}
+	}
+	for lex, want := range map[string]float64{"1.5": 1.5, "-2": -2, "1e308": 1e308, "0": 0} {
+		if f, ok := (Literal{Lexical: lex, Datatype: XSDDouble}).Float(); !ok || f != want {
+			t.Errorf("Float(%q) = %g, %v; want %g", lex, f, ok, want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"magnet/internal/index"
+	"magnet/internal/obs"
 	"magnet/internal/par"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -76,6 +77,10 @@ func (r *Range) theta(v float64) float64 {
 		return 0
 	}
 	t := (v - r.Min) / (r.Max - r.Min)
+	if math.IsInf(r.Max-r.Min, 0) {
+		// The span overflows float64: the halved values' span cannot.
+		t = (v/2 - r.Min/2) / (r.Max/2 - r.Min/2)
+	}
 	if t < 0 {
 		t = 0
 	} else if t > 1 {
@@ -453,9 +458,14 @@ func (m *Model) SimilarToItem(item rdf.IRI, k int) []ScoredItem {
 	}))
 }
 
+// centroidCount counts collection centroids computed — one per collection
+// view and analyst run, since the collection analysts share theirs.
+var centroidCount = obs.NewCounter("vsm.centroid.count")
+
 // Centroid returns the normalized "average member" vector of a collection
 // (§5.3).
 func (m *Model) Centroid(items []rdf.IRI) map[string]float64 {
+	centroidCount.Inc()
 	ids := make([]string, len(items))
 	for i, it := range items {
 		ids[i] = string(it)
@@ -468,6 +478,12 @@ func (m *Model) Centroid(items []rdf.IRI) map[string]float64 {
 // This backs the "Similar by Content (Overall)" advisor's collection
 // analyst (§4.1).
 func (m *Model) SimilarToCollection(items []rdf.IRI, k int, excludeMembers bool) []ScoredItem {
+	return m.SimilarToCentroid(m.Centroid(items), items, k, excludeMembers)
+}
+
+// SimilarToCentroid is SimilarToCollection with the collection's centroid
+// already computed (Centroid(items)); it only reads centroid.
+func (m *Model) SimilarToCentroid(centroid map[string]float64, items []rdf.IRI, k int, excludeMembers bool) []ScoredItem {
 	var exclude func(string) bool
 	if excludeMembers {
 		member := make(map[string]bool, len(items))
@@ -476,7 +492,7 @@ func (m *Model) SimilarToCollection(items []rdf.IRI, k int, excludeMembers bool)
 		}
 		exclude = func(id string) bool { return member[id] }
 	}
-	return toScoredItems(m.store.SimilarTo(m.Centroid(items), k, exclude))
+	return toScoredItems(m.store.SimilarTo(centroid, k, exclude))
 }
 
 func toScoredItems(scored []index.Scored) []ScoredItem {
@@ -499,7 +515,12 @@ type WeightedCoord struct {
 // word coordinates of the collection centroid (numeric coordinates are
 // handled by the range analyst instead), optionally filtered by accept.
 func (m *Model) RefinementCoords(items []rdf.IRI, k int, accept func(Coord) bool) []WeightedCoord {
-	centroid := m.Centroid(items)
+	return RefinementCoordsOf(m.Centroid(items), k, accept)
+}
+
+// RefinementCoordsOf is RefinementCoords over an already computed
+// collection centroid; it only reads centroid.
+func RefinementCoordsOf(centroid map[string]float64, k int, accept func(Coord) bool) []WeightedCoord {
 	top := index.TopTerms(centroid, k, func(term string) bool {
 		c, ok := ParseCoord(term)
 		if !ok || c.Kind == CoordNumeric {

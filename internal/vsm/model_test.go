@@ -551,3 +551,83 @@ func TestQuickModelInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// One "INF"^^xsd:double used to become the property's Max, which made
+// theta NaN for that item and 0 for every finite one. Non-finite values
+// are not numeric now: they are left out of the range and the vectors.
+func TestNonFiniteNumericValuesSkipped(t *testing.T) {
+	g := rdf.NewGraph()
+	sch := schema.NewStore(g)
+	pSize := rdf.IRI(ex + "size")
+	var items []rdf.IRI
+	for i, lex := range []string{"1", "2", "3", "INF", "NaN"} {
+		it := rdf.IRI(fmt.Sprintf("%sthing%d", ex, i))
+		g.Add(it, pType, rdf.IRI(ex+"Thing"))
+		g.Add(it, pSize, rdf.Literal{Lexical: lex, Datatype: rdf.XSDDouble})
+		items = append(items, it)
+	}
+	m := New(g, sch, Options{})
+	m.IndexAll(items)
+	if r, ok := m.NumericRange([]rdf.IRI{pSize}); !ok || r.Min != 1 || r.Max != 3 || r.Count != 3 {
+		t.Fatalf("NumericRange = %+v, %v; want 1..3 over 3 values", r, ok)
+	}
+	sinKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pSize}, Axis: "sin"}.Key()
+	cosKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pSize}, Axis: "cos"}.Key()
+	for i, it := range items {
+		vec := m.Vector(it)
+		for term, w := range vec {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				t.Errorf("%s: %s = %v", it, term, w)
+			}
+		}
+		_, hasSin := vec[sinKey]
+		_, hasCos := vec[cosKey]
+		if has := hasSin || hasCos; has != (i < 3) {
+			t.Errorf("%s: numeric coordinate present = %v", it, has)
+		}
+	}
+	if m.Vector(items[2])[sinKey] <= m.Vector(items[1])[sinKey] {
+		t.Error("finite values no longer spread over the unit circle")
+	}
+}
+
+// A range wider than MaxFloat64 overflows Max-Min; theta must still place
+// values on [0, π/2] instead of returning NaN.
+func TestThetaHugeSpan(t *testing.T) {
+	r := Range{Min: -1e308, Max: 1e308, Count: 2}
+	for v, want := range map[float64]float64{-1e308: 0, 0: math.Pi / 4, 1e308: math.Pi / 2} {
+		if got := r.theta(v); math.Abs(got-want) > 1e-12 {
+			t.Errorf("theta(%g) = %v, want %v", v, got, want)
+		}
+	}
+}
+
+// The centroid-taking variants are the collection methods with the
+// centroid computed by the caller.
+func TestCentroidTakingVariants(t *testing.T) {
+	g, sch, items := figure3Graph()
+	m := New(g, sch, Options{})
+	m.IndexAll(items)
+	coll := items[:2]
+	centroid := m.Centroid(coll)
+	got, want := RefinementCoordsOf(centroid, 10, nil), m.RefinementCoords(coll, 10, nil)
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("RefinementCoordsOf: %d coords, RefinementCoords: %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Coord.Key() != want[i].Coord.Key() || !ApproxEqual(got[i].Weight, want[i].Weight) {
+			t.Errorf("coord %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+	for _, exclude := range []bool{true, false} {
+		got, want := m.SimilarToCentroid(centroid, coll, 5, exclude), m.SimilarToCollection(coll, 5, exclude)
+		if len(got) != len(want) {
+			t.Fatalf("exclude=%v: %d vs %d items", exclude, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Item != want[i].Item || !ApproxEqual(got[i].Score, want[i].Score) {
+				t.Errorf("exclude=%v, %d: %v vs %v", exclude, i, got[i], want[i])
+			}
+		}
+	}
+}
